@@ -22,12 +22,19 @@ class PoolThreadCache;
 ///     bump of a thread-local counter: no atomics, no locks, no shared
 ///     cache lines.
 ///   * **Remote-free lists** — one Treiber stack per thread cache.  A
-///     block freed on a thread other than its allocator goes back to
-///     the *owning* thread's remote list with one release-CAS (the
-///     producer/consumer `crossFree` shape: a successor's releasing
-///     thread frees the predecessor's descriptor).  The owner drains
-///     the whole list with a single exchange the next time a magazine
-///     runs dry, so cross-thread frees never contend on a global lock.
+///     block freed on a thread other than its allocator (the
+///     producer/consumer `crossFree` shape: a worker frees the
+///     descriptor the spawner allocated) is linked into the freeing
+///     thread's private chain for that owner.  The chain goes onto the
+///     owner's remote list with one add and one release-CAS when it
+///     reaches kFlushBatch blocks, when a block for a different owner
+///     arrives, or when the freeing thread exits — so the owner's list
+///     line crosses cores once per batch, not once per free.  Each
+///     thread therefore holds back at most one partial batch (fewer
+///     than kFlushBatch blocks), until it next frees or exits.  The
+///     owner drains the whole list with a single exchange the next time
+///     a magazine runs dry, so cross-thread frees never contend on a
+///     global lock.
 ///   * **Central depot** — per-size-class freelist under a SpinLock,
 ///     refilled by carving chunked slabs from operator new.  Magazines
 ///     refill from and overflow to the depot in batches of
@@ -65,7 +72,8 @@ class PoolAllocator final : public Allocator {
   static constexpr std::size_t kMaxPooledSize = kMaxBlockSize - kHeaderBytes;
 
   /// Magazine geometry: capacity per (thread, class), and the batch
-  /// sizes moved per depot interaction.
+  /// sizes moved per depot interaction.  kFlushBatch is also the length
+  /// at which a thread's remote-free chain is published to its owner.
   static constexpr std::size_t kMagazineCapacity = 64;
   static constexpr std::size_t kRefillBatch = 32;
   static constexpr std::size_t kFlushBatch = 32;
@@ -113,7 +121,7 @@ class PoolAllocator final : public Allocator {
   /// cache: current magazine fill for the class serving `userSize`,
   /// blocks parked in that class's central depots (summed across every
   /// shard; the per-shard variant isolates one), blocks other threads
-  /// have pushed to this thread's remote-free list, and the depot shard
+  /// have published to this thread's remote-free list, and the depot shard
   /// the caller's cache is bound to.
   std::size_t testLocalMagazineFill(std::size_t userSize);
   std::size_t testDepotFree(std::size_t userSize);

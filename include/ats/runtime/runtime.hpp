@@ -137,14 +137,12 @@ class Runtime {
 
   /// Descriptors currently alive (allocated, not yet reclaimed).  With
   /// eager reclamation this tracks the in-flight window; after a
-  /// taskwait it returns to zero.  Summed over per-CPU stripes, so a
-  /// mid-flight reading is approximate (individual stripes go negative
+  /// taskwait it returns to zero.  Summed over the per-slot ledger, so a
+  /// mid-flight reading is approximate (individual slots go negative
   /// when one thread allocates what another reclaims); at quiescence it
   /// is exact.
   std::size_t liveDescriptors() const {
-    std::int64_t sum = 0;
-    for (std::size_t i = 0; i <= config_.topo.numCpus; ++i)
-      sum += descriptorDelta_[i].v.load(std::memory_order_relaxed);
+    const std::int64_t sum = sumLedger(&SlotLedger::descriptors);
     return sum > 0 ? static_cast<std::size_t>(sum) : 0;
   }
 
@@ -155,13 +153,17 @@ class Runtime {
   /// Lifetime failure counters (they survive taskwait/reset), for
   /// conservation audits: executed + tasksFailed() + tasksSkipped() ==
   /// spawned, across every batch this Runtime ever ran.
-  std::uint64_t tasksFailed() const { return graph_.tasksFailed(); }
-  std::uint64_t tasksSkipped() const { return graph_.tasksSkipped(); }
+  std::uint64_t tasksFailed() const {
+    return sumLedger(&SlotLedger::failed);
+  }
+  std::uint64_t tasksSkipped() const {
+    return sumLedger(&SlotLedger::skipped);
+  }
 
   /// Monotonic count of retired tasks (completed, failed, or skipped) —
   /// the watchdog's progress probe, public so tests can assert on it.
   std::uint64_t tasksRetired() const {
-    return retired_.load(std::memory_order_relaxed);
+    return sumLedger(&SlotLedger::retired);
   }
 
  private:
@@ -223,33 +225,56 @@ class Runtime {
   static void reclaimThunk(DepTask& task);
   static void readyThunk(void* ctx, DepTask* task, std::size_t cpu);
 
-  /// Per-CPU-slot allocated-minus-reclaimed delta.  Each slot has a
-  /// single writing thread (workers their own, every non-worker the
-  /// spawner slot), so the hot path is a plain store — no shared-line
-  /// RMW per task like a single counter would cost.
-  struct alignas(64) DescriptorDelta {
-    std::atomic<std::int64_t> v{0};
+  /// The lifecycle ledger: one counter block per CPU slot (workers
+  /// their own, every non-worker thread the spawner slot), each on its
+  /// own cache line and written only by its slot's thread.  A bump is a
+  /// plain load + store, so no per-task path executes a shared-line RMW;
+  /// readers sum the blocks.  `descriptors` is allocated minus
+  /// reclaimed and may go negative per slot; the sum is exact at
+  /// quiescence.  Quiescence itself is sum(retired) == sum(spawned),
+  /// read retired-first (see quiescent()).
+  struct alignas(64) SlotLedger {
+    std::atomic<std::uint64_t> spawned{0};
+    std::atomic<std::uint64_t> retired{0};
+    std::atomic<std::uint64_t> failed{0};
+    std::atomic<std::uint64_t> skipped{0};
+    std::atomic<std::int64_t> descriptors{0};
   };
 
-  void bumpDescriptorDelta(std::int64_t by) {
-    std::atomic<std::int64_t>& slot = descriptorDelta_[callerCpu()].v;
-    slot.store(slot.load(std::memory_order_relaxed) + by,
-               std::memory_order_relaxed);
+  SlotLedger& ownLedger() { return ledger_[callerCpu()]; }
+
+  template <typename T>
+  static void bump(std::atomic<T>& counter, T by,
+                   std::memory_order order = std::memory_order_relaxed) {
+    counter.store(counter.load(std::memory_order_relaxed) + by, order);
   }
+
+  template <typename T>
+  T sumLedger(std::atomic<T> SlotLedger::*counter,
+              std::memory_order order = std::memory_order_relaxed) const {
+    T sum = 0;
+    for (std::size_t i = 0; i <= config_.topo.numCpus; ++i)
+      sum += (ledger_[i].*counter).load(order);
+    return sum;
+  }
+
+  /// True when every spawned task has retired.  Exact on the spawner
+  /// thread (drainAndHelp); from any other thread it can miss spawns
+  /// not yet visible there, which only makes the watchdog's idle test
+  /// conservative.
+  bool quiescent() const;
 
   RuntimeConfig config_;
   std::size_t spawnerCpu_;
   Allocator* alloc_;
   std::unique_ptr<DependencySystem> deps_;
   std::unique_ptr<Scheduler> sched_;
-  std::unique_ptr<DescriptorDelta[]> descriptorDelta_;
+  std::unique_ptr<SlotLedger[]> ledger_;
 
-  std::atomic<std::size_t> inFlight_{0};
   std::atomic<bool> stop_{false};
   std::vector<std::thread> workers_;
 
   GraphStatus graph_;
-  std::atomic<std::uint64_t> retired_{0};
   std::thread::id spawnerThread_;
   std::unique_ptr<Watchdog> watchdog_;  // destroyed first: see ~Runtime
 };

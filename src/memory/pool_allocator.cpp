@@ -92,7 +92,8 @@ class PoolThreadCache {
   Magazine mags[PoolAllocator::kNumClasses];
 
   /// MPSC Treiber stack of blocks freed by other threads: anyone
-  /// pushes, only the owning thread drains (single exchange).
+  /// publishes a chain (publishRemote), only the owning thread drains
+  /// (single exchange).  remotePending counts published blocks.
   std::atomic<void*> remoteHead{nullptr};
   std::atomic<std::size_t> remotePending{0};
 
@@ -112,33 +113,98 @@ class PoolThreadCache {
 
 namespace {
 
-/// The calling thread's cache for the (singleton) pool.  The holder's
-/// destructor retires the cache at thread exit so its blocks go back to
-/// the depot instead of idling in dead magazines.
-thread_local struct TlsCacheSlot {
+/// Publish a chain of blocks (linked head..tail through their freelist
+/// words) onto `owner`'s remote list: one add, one CAS, whatever the
+/// chain length.  The count goes in BEFORE the CAS that makes the
+/// blocks drainable, so the owner's fetch_sub in drainRemote always
+/// follows the matching add and remotePending never wraps below zero.
+void publishRemote(PoolThreadCache* owner, void* head, void* tail,
+                   std::size_t count) {
+  owner->remotePending.fetch_add(count, std::memory_order_relaxed);
+  void* old = owner->remoteHead.load(std::memory_order_relaxed);
+  do {
+    writeLink(tail, old);
+  } while (!owner->remoteHead.compare_exchange_weak(
+      old, head, std::memory_order_release, std::memory_order_relaxed));
+}
+
+/// The calling thread's cache for the (singleton) pool, plus its
+/// unpublished remote frees.  Trivially destructible on purpose: the
+/// teardown lives in TlsExitHook below, so the writes it makes are to a
+/// live object and stay visible to a pool free from a later-running TLS
+/// destructor.  (Stores a destructor makes to its own object are dead
+/// to the optimizer — GCC's lifetime DSE drops them — so a slot that
+/// nulled itself in its own destructor could not be trusted to read as
+/// nulled afterwards.)
+struct TlsCacheSlot {
   PoolThreadCache* cache = nullptr;
-  ~TlsCacheSlot() {
+
+  /// Blocks this thread freed for ONE foreign cache, not yet published.
+  /// Never longer than kFlushBatch - 1 between calls: reaching the batch
+  /// publishes it, and so does a block for a different owner — so each
+  /// thread strands at most one partial batch, and only until it frees
+  /// again or exits.
+  PoolThreadCache* chainOwner = nullptr;
+  void* chainHead = nullptr;
+  void* chainTail = nullptr;
+  std::size_t chainCount = 0;
+
+  /// Set at thread exit.  A pool free from a later-running TLS
+  /// destructor on this thread publishes its block at once instead of
+  /// parking it in a chain nothing would flush again.
+  bool exited = false;
+
+  void flushChain() {
+    if (chainCount == 0) return;
+    publishRemote(chainOwner, chainHead, chainTail, chainCount);
+    chainOwner = nullptr;
+    chainHead = chainTail = nullptr;
+    chainCount = 0;
+  }
+
+  void freeRemote(PoolThreadCache* owner, void* block);
+
+  void onThreadExit() {
+    flushChain();
     if (cache != nullptr) PoolThreadCache::retire(cache);
     // Null the slot: a pool free from a later-running TLS destructor on
     // this thread must take the remote path, not stash into a cache
     // another thread may already have adopted.
     cache = nullptr;
+    exited = true;
   }
-} tlsCacheSlot;
+};
+
+thread_local TlsCacheSlot tlsCacheSlot;
+
+/// Runs tlsCacheSlot's teardown at thread exit.  Its destructor is
+/// registered on the first arm() in a thread, made wherever the thread
+/// first gets something to tear down: a cache or a remote chain.
+thread_local struct TlsExitHook {
+  void arm() {}
+  ~TlsExitHook() { tlsCacheSlot.onThreadExit(); }
+} tlsExitHook;
+
+void TlsCacheSlot::freeRemote(PoolThreadCache* owner, void* block) {
+  if (exited) {
+    publishRemote(owner, block, block, 1);
+    return;
+  }
+  if (owner != chainOwner) {
+    flushChain();
+    tlsExitHook.arm();
+    chainOwner = owner;
+    chainTail = block;
+  }
+  writeLink(block, chainHead);
+  chainHead = block;
+  if (++chainCount == PoolAllocator::kFlushBatch) flushChain();
+}
 
 /// The calling thread's depot-shard binding (setThreadDomain).  Kept
 /// outside the cache so it survives cache adoption and is readable
 /// before a cache exists.
 thread_local std::size_t tlsDepotShard = 0;
-
-void pushRemote(PoolThreadCache* owner, void* block) {
-  void* head = owner->remoteHead.load(std::memory_order_relaxed);
-  do {
-    writeLink(block, head);
-  } while (!owner->remoteHead.compare_exchange_weak(
-      head, block, std::memory_order_release, std::memory_order_relaxed));
-  owner->remotePending.fetch_add(1, std::memory_order_relaxed);
-}
 
 }  // namespace
 
@@ -170,6 +236,7 @@ PoolThreadCache& PoolAllocator::localCache() {
     }
     cache->depotShard = tlsDepotShard;
     tlsCacheSlot.cache = cache;
+    tlsExitHook.arm();
   }
   return *cache;
 }
@@ -221,13 +288,16 @@ void PoolAllocator::deallocate(void* ptr, std::size_t size) {
   // thread that only ever frees (the pure consumer in crossFree) should
   // not take the registry lock and own 17 empty magazines just to learn
   // the block is not its own.
-  PoolThreadCache* mine = tlsCacheSlot.cache;
+  TlsCacheSlot& tls = tlsCacheSlot;
+  PoolThreadCache* mine = tls.cache;
   if (hdr->owner == mine && mine != nullptr) {
     stashInMagazine(*mine, cls, block);
   } else {
-    // Cross-thread free: hand the block back to its owner's remote
-    // list.  One release-CAS, no shared lock — the crossFree path.
-    pushRemote(hdr->owner, block);
+    // Cross-thread free: chain the block toward its owner's remote
+    // list.  The chain goes over in one CAS per batch, so the owner's
+    // list line moves between cores once per kFlushBatch frees, not
+    // once per free — the crossFree path.
+    tls.freeRemote(hdr->owner, block);
   }
 }
 

@@ -131,8 +131,7 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
   // map from numCpus, and a phantom extra "CPU" would shift
   // cpusPerDomain and misclassify real workers.
   spawnerCpu_ = config_.topo.numCpus;
-  descriptorDelta_ =
-      std::make_unique<DescriptorDelta[]>(config_.topo.numCpus + 1);
+  ledger_ = std::make_unique<SlotLedger[]>(config_.topo.numCpus + 1);
   RuntimeConfig schedConfig = config_;
   schedConfig.topo.reservedSlots = config_.topo.reservedSlots + 1;
   sched_ = makeScheduler(schedConfig);
@@ -146,12 +145,8 @@ Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
   if (config_.watchdogTimeoutMs > 0) {
     Watchdog::Options options;
     options.timeout = std::chrono::milliseconds(config_.watchdogTimeoutMs);
-    options.progress = [this] {
-      return retired_.load(std::memory_order_relaxed);
-    };
-    options.busy = [this] {
-      return inFlight_.load(std::memory_order_relaxed) != 0;
-    };
+    options.progress = [this] { return tasksRetired(); };
+    options.busy = [this] { return !quiescent(); };
     options.report = [this] { return watchdogReport(); };
     if (config_.watchdogOnStall != nullptr) {
       options.onStall = [fn = config_.watchdogOnStall,
@@ -202,7 +197,7 @@ Task* Runtime::allocateTask() {
   // one hands the descriptor straight back to the allocator.
   task->refCount.store(1, std::memory_order_relaxed);
   task->onLastRef = &reclaimThunk;
-  bumpDescriptorDelta(+1);
+  bump<std::int64_t>(ownLedger().descriptors, +1);
   return task;
 }
 
@@ -211,7 +206,7 @@ void Runtime::reclaimThunk(DepTask& dep) {
   Runtime* self = static_cast<Runtime*>(task.runtime);
   task.~Task();
   self->alloc_->deallocate(&task, sizeof(Task));
-  self->bumpDescriptorDelta(-1);
+  bump<std::int64_t>(self->ownLedger().descriptors, -1);
 }
 
 void Runtime::registerAndSubmit(Task* task,
@@ -227,16 +222,21 @@ void Runtime::registerAndSubmit(Task* task,
   task->runtime = this;
   task->onComplete = &completeThunk;
   // Count the task in before registering: the sink can hand it to a
-  // worker that runs and completes it before registerTask even returns.
-  inFlight_.fetch_add(1, std::memory_order_relaxed);
+  // worker that runs and retires it before registerTask even returns,
+  // and quiescent() relies on every spawn happening-before the
+  // retirement of the task that made it.
+  const std::size_t cpu = callerCpu();
+  std::atomic<std::uint64_t>& spawned = ledger_[cpu].spawned;
+  bump<std::uint64_t>(spawned, 1);
   try {
-    deps_->registerTask(task, accesses.data(), accesses.size(), callerCpu());
+    deps_->registerTask(task, accesses.data(), accesses.size(), cpu);
   } catch (...) {
     // Only the deps_register* failpoints can throw here, and they sit
     // BEFORE the deps layer mutates anything — so the descriptor is
-    // still wholly ours: undo the in-flight accounting, destroy the
-    // closure, and reclaim it so conservation holds for the caller.
-    inFlight_.fetch_sub(1, std::memory_order_acq_rel);
+    // still wholly ours: undo the spawn count, destroy the closure, and
+    // reclaim it so conservation holds for the caller.
+    spawned.store(spawned.load(std::memory_order_relaxed) - 1,
+                  std::memory_order_relaxed);
     if (task->closureDestroy != nullptr) {
       task->closureDestroy(*task);
       task->closureDestroy = nullptr;
@@ -257,19 +257,30 @@ void Runtime::complete(Task* task) {
     task->closureDestroy = nullptr;
     task->invoker = nullptr;
   }
-  deps_->release(task, callerCpu());
+  const std::size_t cpu = callerCpu();
+  deps_->release(task, cpu);
   // Execution reference: from here the descriptor lives only as long as
   // dependency chains can still reach it — often this drop reclaims it
-  // on the spot.  Must precede the inFlight_ decrement so a taskwait'er
-  // observing zero knows every drop but the deps layer's own is done.
+  // on the spot.  Must precede the retirement so a taskwait'er that
+  // sees the task retired knows every drop but the deps layer's own is
+  // done.
   task->dropRef();
-  // The watchdog's progress probe: bumps on EVERY retirement — run,
-  // failed, or skipped — so a cancelling graph draining is visibly
-  // making progress, not stalling.
-  retired_.fetch_add(1, std::memory_order_relaxed);
-  // Release order: the taskwait'er acquiring inFlight_ == 0 must see
-  // every body's side effects.
-  inFlight_.fetch_sub(1, std::memory_order_acq_rel);
+  // Counts EVERY retirement — run, failed, or skipped — so the watchdog
+  // sees a cancelling graph draining as progress, not a stall.  Release
+  // order: the taskwait'er's acquire read of this slot must see the
+  // body's side effects and every spawn the body made.
+  bump<std::uint64_t>(ledger_[cpu].retired, 1, std::memory_order_release);
+}
+
+bool Runtime::quiescent() const {
+  // Retired first, then spawned (DESIGN.md, "Quiescence").  Each
+  // acquire read of a slot's `retired` makes the spawns of the tasks it
+  // counts (and of their children) visible to the `spawned` reads
+  // below, so the spawned sum can never lag the retired sum; equality
+  // then means no task is in flight.
+  const std::uint64_t retired =
+      sumLedger(&SlotLedger::retired, std::memory_order_acquire);
+  return retired == sumLedger(&SlotLedger::spawned);
 }
 
 void Runtime::readyThunk(void* ctx, DepTask* task, std::size_t cpu) {
@@ -285,7 +296,7 @@ void Runtime::executeTask(Task* task, std::size_t cpu) {
     // will observe the token themselves) and drops the execution
     // reference — the graph DRAINS under cancellation, it is never
     // abandoned with descriptors in flight.
-    graph_.noteSkip();
+    bump<std::uint64_t>(ledger_[cpu].skipped, 1);
     if (tracer != nullptr)
       tracer->emit(cpu, TraceEvent::TaskSkipped,
                    reinterpret_cast<std::uintptr_t>(task));
@@ -323,6 +334,7 @@ void Runtime::executeTask(Task* task, std::size_t cpu) {
     // ordering note).  TaskFailed closes the busy interval TaskStart
     // opened; its payload names the firing failpoint (0 = an organic
     // exception from the body).
+    bump<std::uint64_t>(ledger_[cpu].failed, 1);
     if (graph_.poison(std::move(error)) && tracer != nullptr)
       tracer->emit(cpu, TraceEvent::GraphCancelled, 0);
     if (tracer != nullptr)
@@ -407,7 +419,7 @@ void Runtime::drainAndHelp() {
   // collected TaskStart/End totals) but not in any ThreadTraceStats —
   // worker tasksExecuted summing below the spawn count is expected.
   SpinWait waiter;
-  while (inFlight_.load(std::memory_order_acquire) != 0) {
+  while (!quiescent()) {
     Task* task = sched_->getReadyTask(cpu);
     if (task != nullptr) {
       waiter.reset();
@@ -464,22 +476,22 @@ std::string Runtime::watchdogReport() const {
                 schedulerKindName(config_.scheduler), deps_->name(),
                 config_.topo.numCpus);
   out += line;
+  const std::uint64_t retired = tasksRetired();
   std::snprintf(
       line, sizeof(line),
-      "  inFlight=%zu retired=%llu failed=%llu skipped=%llu cancelled=%d "
+      "  inFlight=%lld retired=%llu failed=%llu skipped=%llu cancelled=%d "
       "liveDescriptors=%zu\n",
-      inFlight_.load(std::memory_order_relaxed),
-      static_cast<unsigned long long>(
-          retired_.load(std::memory_order_relaxed)),
-      static_cast<unsigned long long>(graph_.tasksFailed()),
-      static_cast<unsigned long long>(graph_.tasksSkipped()),
+      static_cast<long long>(sumLedger(&SlotLedger::spawned) - retired),
+      static_cast<unsigned long long>(retired),
+      static_cast<unsigned long long>(tasksFailed()),
+      static_cast<unsigned long long>(tasksSkipped()),
       graph_.cancelled() ? 1 : 0, liveDescriptors());
   out += line;
   out += "  per-slot descriptor deltas:";
   for (std::size_t i = 0; i <= config_.topo.numCpus; ++i) {
     std::snprintf(line, sizeof(line), " %lld",
-                  static_cast<long long>(
-                      descriptorDelta_[i].v.load(std::memory_order_relaxed)));
+                  static_cast<long long>(ledger_[i].descriptors.load(
+                      std::memory_order_relaxed)));
     out += line;
   }
   out += "\n";

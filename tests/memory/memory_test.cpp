@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
@@ -26,6 +29,71 @@ template <typename Fn>
 void onFreshThread(Fn&& fn) {
   std::thread t(std::forward<Fn>(fn));
   t.join();
+}
+
+/// A thread that stays alive between steps and runs each closure handed
+/// to run() on itself, returning when it is done.  Remote-free tests
+/// need it twice over: testRemotePendingOnCaller() reads the CALLING
+/// thread's cache, so an owner must answer on its own thread; and a
+/// freeing thread's unpublished chain lives exactly as long as the
+/// thread, so it must outlive the step that fills it.
+class PinnedThread {
+ public:
+  PinnedThread() : thread_([this] { serve(); }) {}
+  PinnedThread(const PinnedThread&) = delete;
+  PinnedThread& operator=(const PinnedThread&) = delete;
+
+  ~PinnedThread() {
+    {
+      std::lock_guard<std::mutex> guard(mutex_);
+      stop_ = true;
+    }
+    wake_.notify_all();
+    thread_.join();
+  }
+
+  void run(std::function<void()> job) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    job_ = std::move(job);
+    wake_.notify_all();
+    wake_.wait(lock, [this] { return !job_; });
+  }
+
+ private:
+  void serve() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      wake_.wait(lock, [this] { return stop_ || job_; });
+      if (stop_) return;
+      job_();
+      job_ = nullptr;
+      wake_.notify_all();
+    }
+  }
+
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::function<void()> job_;
+  bool stop_ = false;
+  std::thread thread_;  // last: starts after the members it reads
+};
+
+/// Blocks published to `owner`'s cache so far (its remote-pending count).
+std::size_t pendingOn(PinnedThread& owner) {
+  std::size_t pending = 0;
+  owner.run([&pending] {
+    pending = PoolAllocator::instance().testRemotePendingOnCaller();
+  });
+  return pending;
+}
+
+std::vector<void*> allocateOn(PinnedThread& owner, std::size_t count,
+                              std::size_t size) {
+  std::vector<void*> blocks(count);
+  owner.run([&blocks, size] {
+    for (void*& p : blocks) p = PoolAllocator::instance().allocate(size);
+  });
+  return blocks;
 }
 
 TEST(SystemAllocatorTest, RoundTripsAndAligns) {
@@ -158,6 +226,129 @@ TEST(PoolAllocatorTest, RemoteFreesDrainOnRefill) {
     pool.deallocate(p, kSize);
     for (void* w : warm) pool.deallocate(w, kSize);
   });
+}
+
+/// Remote frees travel in per-owner chains of up to kFlushBatch blocks.
+/// A chain that never fills still reaches its owner when the freeing
+/// thread exits.
+TEST(PoolAllocatorTest, PartialRemoteBatchReachesOwnerAtFreerExit) {
+  PoolAllocator& pool = PoolAllocator::instance();
+  constexpr std::size_t kSize = 6000;
+  constexpr std::size_t kPartial = PoolAllocator::kFlushBatch / 2;
+
+  PinnedThread owner;
+  const std::vector<void*> blocks = allocateOn(owner, kPartial, kSize);
+  const std::size_t before = pendingOn(owner);
+  {
+    PinnedThread freer;
+    freer.run([&] {
+      for (void* p : blocks) pool.deallocate(p, kSize);
+    });
+    EXPECT_EQ(pendingOn(owner), before)
+        << "a partial chain was published before it filled";
+  }
+  EXPECT_EQ(pendingOn(owner), before + kPartial)
+      << "the freeing thread exited without publishing its chain";
+}
+
+/// A block for a different owner publishes the chain held for the
+/// previous one, so a thread never holds blocks for two owners.
+TEST(PoolAllocatorTest, RemoteFreeForAnotherOwnerFlushesThePreviousChain) {
+  PoolAllocator& pool = PoolAllocator::instance();
+  constexpr std::size_t kSize = 6000;
+  constexpr std::size_t kFirst = 5;
+
+  PinnedThread ownerA;
+  PinnedThread ownerB;
+  const std::vector<void*> aBlocks = allocateOn(ownerA, kFirst, kSize);
+  const std::vector<void*> bBlocks = allocateOn(ownerB, 1, kSize);
+  const std::size_t aBefore = pendingOn(ownerA);
+  const std::size_t bBefore = pendingOn(ownerB);
+
+  PinnedThread freer;
+  freer.run([&] {
+    for (void* p : aBlocks) pool.deallocate(p, kSize);
+  });
+  EXPECT_EQ(pendingOn(ownerA), aBefore);
+  freer.run([&] { pool.deallocate(bBlocks[0], kSize); });
+  EXPECT_EQ(pendingOn(ownerA), aBefore + kFirst)
+      << "switching owners did not publish the first owner's chain";
+  EXPECT_EQ(pendingOn(ownerB), bBefore);
+}
+
+/// However a thread's remote frees are spread over owners and run
+/// lengths, it holds back fewer than kFlushBatch blocks in total, and
+/// none once it exits.
+TEST(PoolAllocatorTest, FreeingThreadStrandsAtMostOneBatch) {
+  PoolAllocator& pool = PoolAllocator::instance();
+  constexpr std::size_t kSize = 6000;
+  // Run lengths below, at and above the batch, alternating owners.
+  const std::size_t runs[] = {1,
+                              PoolAllocator::kFlushBatch - 1,
+                              PoolAllocator::kFlushBatch,
+                              PoolAllocator::kFlushBatch + 1,
+                              3 * PoolAllocator::kFlushBatch + 7,
+                              2,
+                              PoolAllocator::kFlushBatch - 3};
+  PinnedThread owners[2];
+  std::vector<void*> perOwner[2];
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < std::size(runs); ++i) {
+    const std::vector<void*> blocks = allocateOn(owners[i % 2], runs[i], kSize);
+    perOwner[i % 2].insert(perOwner[i % 2].end(), blocks.begin(),
+                           blocks.end());
+    total += runs[i];
+  }
+  const std::size_t before = pendingOn(owners[0]) + pendingOn(owners[1]);
+
+  {
+    PinnedThread freer;
+    std::size_t next[2] = {0, 0};
+    for (std::size_t i = 0; i < std::size(runs); ++i) {
+      const std::size_t o = i % 2;
+      freer.run([&] {
+        for (std::size_t k = 0; k < runs[i]; ++k)
+          pool.deallocate(perOwner[o][next[o]++], kSize);
+      });
+      const std::size_t published =
+          pendingOn(owners[0]) + pendingOn(owners[1]) - before;
+      std::size_t freed = 0;
+      for (std::size_t j = 0; j <= i; ++j) freed += runs[j];
+      EXPECT_GT(published + PoolAllocator::kFlushBatch, freed)
+          << "after run " << i << " the freeing thread holds "
+          << freed - published << " blocks";
+    }
+  }
+  EXPECT_EQ(pendingOn(owners[0]) + pendingOn(owners[1]), before + total);
+}
+
+/// A pool free from a thread-local destructor that runs after the
+/// pool's own per-thread state was torn down must publish its block at
+/// once: parking it in the dead thread's chain would strand it for good
+/// (and touch storage whose owner is gone — the ASan job's case).
+struct LateRemoteFree {
+  void* block = nullptr;
+  ~LateRemoteFree() {
+    if (block != nullptr) PoolAllocator::instance().deallocate(block, 6000);
+  }
+};
+thread_local LateRemoteFree tlsLateRemoteFree;
+
+TEST(PoolAllocatorTest, FreeFromLaterTlsDestructorBypassesTheDeadChain) {
+  PoolAllocator& pool = PoolAllocator::instance();
+  constexpr std::size_t kSize = 6000;
+
+  PinnedThread owner;
+  const std::vector<void*> blocks = allocateOn(owner, 2, kSize);
+  const std::size_t before = pendingOn(owner);
+  onFreshThread([&] {
+    // Construct the holder before this thread first touches the pool,
+    // so its destructor runs after the pool's thread-exit hook.
+    tlsLateRemoteFree.block = blocks[0];
+    pool.deallocate(blocks[1], kSize);  // leaves a partial chain
+  });
+  EXPECT_EQ(pendingOn(owner), before + 2)
+      << "a free after the thread's pool teardown was not published";
 }
 
 TEST(PoolAllocatorTest, ReuseAfterFreeIsPoisoned) {

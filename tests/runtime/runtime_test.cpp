@@ -5,6 +5,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -305,6 +306,63 @@ TEST_P(NumaMatrixTest, InoutChainStaysStrictlyOrdered) {
   for (int i = 0; i < kLinks; ++i) {
     ASSERT_EQ(observed[static_cast<std::size_t>(i)], i)
         << "chain link " << i << " ran out of order";
+  }
+}
+
+/// Task bodies spawning children: the case taskwait's quiescence check
+/// depends on.  The spawner sees a child's spawn only through the
+/// retirement of the parent that made it (DESIGN.md, "Quiescence"), so
+/// a check that read the spawn counts before the retirement counts
+/// could return while children are still running.  Repeated so the TSan
+/// job gets many interleavings of the late child spawns.
+class NestedSpawnTest : public ::testing::TestWithParam<SchedulerKind> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Schedulers, NestedSpawnTest,
+    ::testing::Values(SchedulerKind::SyncDelegation,
+                      SchedulerKind::PTLockCentral,
+                      SchedulerKind::CentralMutex,
+                      SchedulerKind::WorkStealing),
+    [](const auto& info) { return schedName(info.param); });
+
+TEST_P(NestedSpawnTest, TaskwaitCoversChildrenSpawnedByBodies) {
+  struct Shape {
+    int parents;
+    int children;
+    int rounds;
+  };
+  // The wide graph is the volume case.  The tiny ones give a wrong read
+  // order its best odds of showing: a lone parent spawns one child and
+  // retires between two of the spawner's polls, thousands of times.
+  constexpr Shape kShapes[] = {{32, 16, 40}, {4, 1, 1000}, {1, 1, 3000}};
+  // Declared before the runtime so a failed assertion, which leaves
+  // the straggling child to ~Runtime's drain, never outlives it.
+  std::atomic<std::uint64_t> ran{0};
+  Runtime rt(testConfig(DepsKind::WaitFreeAsm, GetParam(), 3));
+
+  for (const Shape& shape : kShapes) {
+    const std::uint64_t bodies =
+        static_cast<std::uint64_t>(shape.parents) * (1 + shape.children);
+    for (int round = 0; round < shape.rounds; ++round) {
+      const std::uint64_t ranBefore = ran.load();
+      const std::uint64_t retiredBefore = rt.tasksRetired();
+      for (int p = 0; p < shape.parents; ++p) {
+        rt.spawn({}, [&rt, &ran, children = shape.children] {
+          ran.fetch_add(1, std::memory_order_relaxed);
+          for (int c = 0; c < children; ++c) {
+            rt.spawn({}, [&ran] {
+              ran.fetch_add(1, std::memory_order_relaxed);
+            });
+          }
+        });
+      }
+      rt.taskwait();
+      ASSERT_EQ(ran.load() - ranBefore, bodies)
+          << shape.parents << "x" << shape.children << " round " << round
+          << ": taskwait returned before every child ran";
+      ASSERT_EQ(rt.tasksRetired() - retiredBefore, bodies);
+      ASSERT_EQ(rt.liveDescriptors(), 0u);
+    }
   }
 }
 
